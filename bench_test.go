@@ -17,9 +17,9 @@ import (
 	"poddiagnosis/internal/conformance"
 	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/diagnosis"
+	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/experiment"
 	"poddiagnosis/internal/faultinject"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/mining"
 	"poddiagnosis/internal/pipeline"
@@ -191,7 +191,7 @@ func BenchmarkDiagnosisTime(b *testing.B) {
 	_ = cloud.UpdateAutoScalingGroup(ctx, cluster.ASGName, "rogue-lc", -1, -1, -1)
 
 	eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), nil)
-	engine := diagnosis.NewEngine(faulttree.DefaultCatalog(), eval, nil, diagnosis.Options{})
+	engine := diagnosis.NewEngine(diagplan.DefaultCatalog(), eval, nil, diagnosis.Options{})
 	req := diagnosis.Request{
 		AssertionID:       assertion.CheckASGVersionCount,
 		Source:            diagnosis.SourceAssertion,
@@ -229,7 +229,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 			profile := simaws.FastProfile()
 			_, cluster, client := benchCloud(b, profile, 1000)
 			eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), nil)
-			engine := diagnosis.NewEngine(faulttree.DefaultCatalog(), eval, nil, tc.opts)
+			engine := diagnosis.NewEngine(diagplan.DefaultCatalog(), eval, nil, tc.opts)
 			req := diagnosis.Request{
 				AssertionID: assertion.CheckASGVersionCount,
 				StepID:      process.StepUpdateLC,
@@ -426,17 +426,17 @@ func BenchmarkAblationTriggers(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultTreeOps measures pure tree instantiation + pruning.
+// BenchmarkFaultTreeOps measures pure plan instantiation + pruning of the
+// version-count plan (the paper's Figure 5 fault tree).
 func BenchmarkFaultTreeOps(b *testing.B) {
-	repo := faulttree.DefaultRepository()
-	tree := repo.Select(assertion.CheckASGVersionCount)[0]
+	plan := diagplan.DefaultCatalog().Select(assertion.CheckASGVersionCount)[0]
 	params := assertion.Params{
 		assertion.ParamASG: "pm--asg", assertion.ParamWant: "4",
 		assertion.ParamVersion: "v2", assertion.ParamAMI: "ami-1",
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		inst := tree.Instantiate(params).Prune(process.StepNewReady)
+		inst := plan.Instantiate(params).Prune(process.StepNewReady)
 		if len(inst.PotentialRootCauses()) == 0 {
 			b.Fatal("pruned everything")
 		}
@@ -507,7 +507,7 @@ func BenchmarkAblationCloudTrail(b *testing.B) {
 					MaxBackoff: time.Second, CallTimeout: 20 * time.Second,
 				})
 				eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), nil)
-				engine := diagnosis.NewEngine(faulttree.DefaultCatalog(), eval, nil, diagnosis.Options{})
+				engine := diagnosis.NewEngine(diagplan.DefaultCatalog(), eval, nil, diagnosis.Options{})
 				d := engine.Diagnose(ctx, diagnosis.Request{
 					AssertionID: assertion.CheckASGInstanceCount,
 					Source:      diagnosis.SourceAssertion,

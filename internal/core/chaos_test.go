@@ -135,7 +135,7 @@ func TestReorderingAloneCausesNoSpuriousDetections(t *testing.T) {
 // a sequence gap on the pipeline marks active sessions degraded for the
 // hold window, and the flag decays once the hold elapses.
 func TestDegradedModeOnInducedGap(t *testing.T) {
-	r := newMultiRig(t, func(c *ManagerConfig) { c.DegradedHold = 30 * time.Second })
+	r := newMultiRig(t, nil)
 	s, err := r.mgr.Watch(Expectation{ASGName: "dg--asg", ClusterSize: 2}, BindInstance("dg-task"))
 	if err != nil {
 		t.Fatal(err)

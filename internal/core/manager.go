@@ -1,3 +1,20 @@
+// Package core implements the POD-Diagnosis engine — the paper's primary
+// contribution (Figure 1): it wires the local log processor to conformance
+// checking, post-step and timer-driven assertion evaluation, and
+// plan-driven error diagnosis, all keyed by process context (process
+// instance id, step id, step outcomes) carried on annotated log events.
+//
+// A Manager owns the shared substrate — bus subscriptions, central log
+// storage, the consistent API client, the assertion evaluator, the
+// diagnosis engine and one worker pool — and routes annotated events to
+// per-operation Sessions sharded by process-instance id. Manager.Watch is
+// the one entry point for monitoring an operation; a single-operation
+// deployment watches with MatchAnyInstance so its session adopts every
+// process instance on the bus.
+//
+// The engine is non-intrusive: it only consumes the operation node's log
+// events from the bus and queries the cloud through the consistent API
+// layer. It never touches the upgrade tool.
 package core
 
 import (
@@ -18,7 +35,6 @@ import (
 	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/diagnosis"
 	"poddiagnosis/internal/diagplan"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/logstore"
 	"poddiagnosis/internal/obs"
@@ -27,6 +43,33 @@ import (
 	"poddiagnosis/internal/process"
 	"poddiagnosis/internal/remediate"
 	"poddiagnosis/internal/simaws"
+)
+
+// Engine metrics: what the paper's §V counts (detections and their
+// triggers), plus the operational signals needed to size the worker pool.
+var (
+	mDetections = obs.Default.CounterVec("pod_engine_detections_total",
+		"Recorded detections by trigger source.", "source")
+	mTimerFires = obs.Default.CounterVec("pod_engine_timer_fires_total",
+		"Assertion timer fires by kind (step = one-off deadline, periodic).", "kind")
+	mWorkDropped = obs.Default.Counter("pod_engine_work_dropped_total",
+		"Background work items discarded because the queue was full or the manager was stopping.")
+)
+
+// sloBuckets cover simulated-time latencies from sub-second detections
+// to multi-minute timer-driven diagnoses (DefBuckets stop at 10s).
+var sloBuckets = []float64{.05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60, 120, 300}
+
+// Time-to-diagnosis SLO instruments (simulated seconds). Degraded-mode
+// and chaos-profile runs are labeled so discounted-confidence paths stay
+// distinguishable from clean ones.
+var (
+	mSLODetection = obs.Default.HistogramVec("pod_slo_detection_latency_seconds",
+		"Latency from the originating event (log line or timer fire) to the admitted detection.",
+		sloBuckets, "degraded", "chaos")
+	mSLODiagnosis = obs.Default.HistogramVec("pod_slo_diagnosis_latency_seconds",
+		"Latency from an admitted detection to its diagnosis confirming a root cause.",
+		sloBuckets, "degraded", "chaos")
 )
 
 // Manager metrics: multi-tenant counterparts of the engine metrics.
@@ -50,6 +93,54 @@ var (
 // operations and gives the backlog gauges a stable label set.
 const numShards = 16
 
+// reorderMaxPending bounds the reorder buffer's held events per source
+// stream.
+const reorderMaxPending = 256
+
+// degradedHold is how long (simulated time) sessions stay in degraded
+// mode after a sequence gap is declared.
+const degradedHold = 30 * time.Second
+
+// Expectation declares the desired end state of the operation being
+// watched; it parameterizes assertions and diagnosis-plan instantiation.
+type Expectation struct {
+	// ASGName, ELBName identify the cluster under upgrade.
+	ASGName string `json:"asgName"`
+	ELBName string `json:"elbName,omitempty"`
+	// NewImageID and NewVersion describe the target release.
+	NewImageID string `json:"newImageId,omitempty"`
+	NewVersion string `json:"newVersion,omitempty"`
+	// NewLCName is the launch configuration the upgrade creates.
+	NewLCName string `json:"newLcName,omitempty"`
+	// OldLCName is the pre-upgrade launch configuration — the rollback
+	// target when remediation finds the intended one unlaunchable.
+	OldLCName string `json:"oldLcName,omitempty"`
+	// KeyName, SGName and InstanceType are the expected (unchanged)
+	// launch settings.
+	KeyName      string `json:"keyName,omitempty"`
+	SGName       string `json:"sgName,omitempty"`
+	InstanceType string `json:"instanceType,omitempty"`
+	// ClusterSize is N, the desired instance count.
+	ClusterSize int `json:"clusterSize"`
+	// MinInService is N' — the minimum capacity that must stay in
+	// service during the upgrade. Defaults to ClusterSize-1.
+	MinInService int `json:"minInService,omitempty"`
+}
+
+// params renders the expectation as assertion parameters.
+func (x Expectation) params() assertion.Params {
+	return assertion.Params{
+		assertion.ParamASG:          x.ASGName,
+		assertion.ParamELB:          x.ELBName,
+		assertion.ParamAMI:          x.NewImageID,
+		assertion.ParamVersion:      x.NewVersion,
+		assertion.ParamLC:           x.NewLCName,
+		assertion.ParamKeyPair:      x.KeyName,
+		assertion.ParamSG:           x.SGName,
+		assertion.ParamInstanceType: x.InstanceType,
+	}
+}
+
 // ManagerConfig assembles a Manager: the substrate shared by every
 // monitoring session. Per-operation knobs (expectation, assertion spec,
 // timer cadence) live on Watch options instead.
@@ -63,13 +154,9 @@ type ManagerConfig struct {
 	Model *process.Model
 	// Registry is the assertion library. Defaults to the built-in one.
 	Registry *assertion.Registry
-	// Plans is the diagnosis plan catalog the engine walks. Takes
-	// precedence over Trees. Defaults to compiling Trees (or, when both
-	// are nil, to the built-in compiled rolling-upgrade catalog).
+	// Plans is the diagnosis plan catalog the engine walks. Defaults to
+	// the shipped rolling-upgrade catalog (diagplan.DefaultCatalog).
 	Plans *diagplan.Catalog
-	// Trees is the legacy fault-tree knowledge base; when Plans is nil it
-	// is compiled into the plan catalog the engine walks.
-	Trees *faulttree.Repository
 	// API tunes the consistent API layer.
 	API consistentapi.Config
 	// AssertionSpec is the default assertion specification for sessions
@@ -104,12 +191,6 @@ type ManagerConfig struct {
 	// out-of-order operation event for its predecessors before declaring
 	// them lost. Defaults to 3s.
 	ReorderWindow time.Duration
-	// ReorderMaxPending bounds held events per source stream. Defaults to
-	// 256.
-	ReorderMaxPending int
-	// DegradedHold is how long (simulated time) sessions stay in degraded
-	// mode after a sequence gap is declared. Defaults to 30s.
-	DegradedHold time.Duration
 	// LogTap, when set, decorates the operation-log subscription channel
 	// before the reorder buffer — the chaos harness's injection point
 	// (chaos.Profile.LogTap). The decorator must close its output after
@@ -138,8 +219,7 @@ type ManagerConfig struct {
 // local log processor, central log storage, the consistent API client, the
 // assertion evaluator, the diagnosis engine, the timer wheel and one
 // worker pool — and routes annotated events to per-operation Sessions
-// sharded by process-instance id. It is the multi-tenant refactor of the
-// original single-operation Engine (§IV deploys conformance, assertion and
+// sharded by process-instance id (§IV deploys conformance, assertion and
 // diagnosis as shared services that many operation instances post into).
 type Manager struct {
 	cfg         ManagerConfig
@@ -206,15 +286,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		cfg.Registry = assertion.DefaultRegistry()
 	}
 	if cfg.Plans == nil {
-		if cfg.Trees != nil {
-			cat, err := cfg.Trees.Compile()
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			cfg.Plans = cat
-		} else {
-			cfg.Plans = faulttree.DefaultCatalog()
-		}
+		cfg.Plans = diagplan.DefaultCatalog()
 	}
 	if cfg.PeriodicInterval <= 0 {
 		cfg.PeriodicInterval = time.Minute
@@ -236,12 +308,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	}
 	if cfg.ReorderWindow <= 0 {
 		cfg.ReorderWindow = 3 * time.Second
-	}
-	if cfg.ReorderMaxPending <= 0 {
-		cfg.ReorderMaxPending = 256
-	}
-	if cfg.DegradedHold <= 0 {
-		cfg.DegradedHold = 30 * time.Second
 	}
 	if cfg.ChaosLabel == "" {
 		cfg.ChaosLabel = "none"
@@ -302,7 +368,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	// active session into degraded mode before processing resumes.
 	m.reorder = pipeline.NewReorderBuffer(m.clk, pipeline.ReorderOptions{
 		Window:     cfg.ReorderWindow,
-		MaxPending: cfg.ReorderMaxPending,
+		MaxPending: reorderMaxPending,
 		Schedule:   func(d time.Duration, f func()) func() { return m.timers.After(d, f) },
 	}, func(d pipeline.Delivery) {
 		if d.GapBefore {
@@ -456,8 +522,8 @@ func BindInstance(ids ...string) WatchOption {
 // instance id embedding the ASG name).
 func MatchASGInstances() WatchOption { return func(o *watchOptions) { o.matchASG = true } }
 
-// MatchAnyInstance adopts every unclaimed process instance. This is the
-// single-operation compatibility mode used by NewEngine.
+// MatchAnyInstance adopts every unclaimed process instance — the mode of a
+// deployment that watches a single operation.
 func MatchAnyInstance() WatchOption { return func(o *watchOptions) { o.matchAny = true } }
 
 // WithAssertionSpec overrides the manager's default assertion spec for

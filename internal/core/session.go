@@ -19,6 +19,38 @@ import (
 	"poddiagnosis/internal/remediate"
 )
 
+// Detection is one detected anomaly with its diagnosis.
+type Detection struct {
+	// At is the detection time.
+	At time.Time `json:"at"`
+	// Source is what detected the anomaly.
+	Source diagnosis.Source `json:"source"`
+	// TriggerID is the failing assertion's check id, or the conformance
+	// verdict for conformance detections.
+	TriggerID string `json:"triggerId"`
+	// StepID is the process context.
+	StepID string `json:"stepId,omitempty"`
+	// InstanceID is the process instance.
+	InstanceID string `json:"instanceId"`
+	// Operation is the id of the session that recorded the detection.
+	Operation string `json:"operation,omitempty"`
+	// Message describes the anomaly.
+	Message string `json:"message"`
+	// Diagnosis is the root-cause analysis result.
+	Diagnosis *diagnosis.Diagnosis `json:"diagnosis,omitempty"`
+	// Degraded marks a detection made while the session's log stream was
+	// known lossy (a sequence gap within the degraded hold window):
+	// the anomaly may be an artifact of the loss, not the operation.
+	Degraded bool `json:"degraded,omitempty"`
+	// Confidence is 1.0 for detections on an intact stream, discounted to
+	// 0.5 while degraded.
+	Confidence float64 `json:"confidence"`
+	// EvidenceID is the flight-recorder timeline entry of this detection
+	// (0 when the recorder is disabled): the anchor tying the detection
+	// into the operation's causal evidence chain.
+	EvidenceID uint64 `json:"evidenceId,omitempty"`
+}
+
 // SessionState is the lifecycle phase of a monitoring session.
 type SessionState string
 
@@ -159,7 +191,7 @@ func (s *Session) End() {
 
 // noteGap enters (or extends) degraded mode after a declared sequence gap.
 func (s *Session) noteGap(now time.Time) {
-	until := now.Add(s.mgr.cfg.DegradedHold)
+	until := now.Add(degradedHold)
 	s.mu.Lock()
 	if until.After(s.degradedUntil) {
 		s.degradedUntil = until

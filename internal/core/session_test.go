@@ -27,13 +27,13 @@ func opEvent(clkNow time.Time, taskID, body string) logging.Event {
 
 func TestProgressTrackingFromReadyLines(t *testing.T) {
 	r := newRig(t, 2, nil)
-	r.engine.Start()
-	defer r.engine.Stop()
+	r.mgr.Start()
+	defer r.mgr.Stop()
 	now := r.cloud.Clock().Now()
 	r.bus.Publish(opEvent(now, "task-p", "Starting rolling upgrade of group pm--asg to image ami-x"))
 	r.bus.Publish(opEvent(now, "task-p", "Sorted 5 instances for replacement"))
 	r.bus.Publish(opEvent(now, "task-p", "Instance pm on i-1 is ready for use. 3 of 5 instance relaunches done."))
-	sess := r.engine.Session()
+	sess := r.sess
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if sess.progressOf("task-p") == 3 {
@@ -54,13 +54,13 @@ func TestProgressTrackingFromReadyLines(t *testing.T) {
 
 func TestProcessEndCancelsTimers(t *testing.T) {
 	r := newRig(t, 2, nil)
-	r.engine.Start()
-	defer r.engine.Stop()
+	r.mgr.Start()
+	defer r.mgr.Stop()
 	now := r.cloud.Clock().Now()
 	r.bus.Publish(opEvent(now, "task-t", "Starting rolling upgrade of group pm--asg to image ami-x"))
 	r.bus.Publish(opEvent(now, "task-t", "Waiting for group pm--asg to start a new instance"))
 	// Wait for the periodic + step timers to be registered.
-	sess := r.engine.Session()
+	sess := r.sess
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		sess.mu.Lock()
@@ -86,9 +86,9 @@ func TestProcessEndCancelsTimers(t *testing.T) {
 }
 
 func TestDetectionCapBoundsRecording(t *testing.T) {
-	r := newRig(t, 2, func(c *Config) { c.MaxDetections = 2 })
-	r.engine.Start()
-	defer r.engine.Stop()
+	r := newRig(t, 2, func(c *ManagerConfig) { c.MaxDetections = 2 })
+	r.mgr.Start()
+	defer r.mgr.Stop()
 	// Flood with distinct conformance errors (distinct steps via fit
 	// progress is hard; use error lines with distinct dedup keys by
 	// changing step context through valid progress).
@@ -96,15 +96,15 @@ func TestDetectionCapBoundsRecording(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.bus.Publish(opEvent(now, "task-c", "ERROR: boom number "+string(rune('a'+i))))
 	}
-	r.engine.Drain(context.Background(), 2*time.Minute)
-	if got := len(r.engine.Detections()); got > 2 {
+	r.mgr.Drain(context.Background(), 2*time.Minute)
+	if got := len(r.sess.Detections()); got > 2 {
 		t.Fatalf("detections = %d, cap 2", got)
 	}
 }
 
 func TestReDiagnosisAfterInconclusive(t *testing.T) {
 	r := newRig(t, 2, nil)
-	sess := r.engine.Session()
+	sess := r.sess
 	// First diagnosis for a key concludes nothing: the key may retry.
 	key := "assert|t|x|step1"
 	if !sess.shouldDiagnose(key) {
@@ -143,14 +143,14 @@ func TestConformanceEventsPublished(t *testing.T) {
 			sink.Write(e)
 		}
 	}()
-	r.engine.Start()
+	r.mgr.Start()
 	now := r.cloud.Clock().Now()
 	r.bus.Publish(opEvent(now, "task-v", "Starting rolling upgrade of group pm--asg to image ami-x"))
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && sink.Len() == 0 {
 		time.Sleep(2 * time.Millisecond)
 	}
-	r.engine.Stop()
+	r.mgr.Stop()
 	sub.Cancel()
 	<-done
 	events := sink.Events()
@@ -185,13 +185,13 @@ func TestStepBindingsShape(t *testing.T) {
 	}
 	for _, tc := range cases {
 		n := model.Node(tc.node)
-		got := r.engine.Session().stepBindings("t", n, ev)
+		got := r.sess.stepBindings("t", n, ev)
 		if len(got) != tc.wantN {
 			t.Errorf("%s bindings = %d, want %d", tc.node, len(got), tc.wantN)
 		}
 	}
 	// Without an instance id, the low-level double check is skipped.
-	bare := r.engine.Session().stepBindings("t", model.Node(process.NodeNewReady), logging.Event{})
+	bare := r.sess.stepBindings("t", model.Node(process.NodeNewReady), logging.Event{})
 	if len(bare) != 5 {
 		t.Errorf("bare step7 bindings = %d, want 5", len(bare))
 	}
@@ -199,28 +199,29 @@ func TestStepBindingsShape(t *testing.T) {
 
 func TestEngineStopIsCleanWithPendingWork(t *testing.T) {
 	r := newRig(t, 2, nil)
-	r.engine.Start()
+	r.mgr.Start()
 	now := r.cloud.Clock().Now()
 	// Queue work, then stop immediately: must not deadlock or panic.
 	for i := 0; i < 20; i++ {
 		r.bus.Publish(opEvent(now, "task-s", "Starting rolling upgrade of group pm--asg to image ami-x"))
 	}
-	r.engine.Stop()
+	r.mgr.Stop()
 }
 
 func TestExpectationMinInServiceExplicit(t *testing.T) {
 	bus := logging.NewBus()
 	defer bus.Close()
 	cloud := simaws.New(clock.NewScaled(100, time.Unix(0, 0)), simaws.FastProfile())
-	eng, err := NewEngine(Config{
-		Cloud: cloud, Bus: bus,
-		Expect: Expectation{ASGName: "g", ClusterSize: 10, MinInService: 7},
-	})
+	mgr, err := NewManager(ManagerConfig{Cloud: cloud, Bus: bus})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.cfg.Expect.MinInService != 7 {
-		t.Fatalf("MinInService overridden: %d", eng.cfg.Expect.MinInService)
+	sess, err := mgr.Watch(Expectation{ASGName: "g", ClusterSize: 10, MinInService: 7}, MatchAnyInstance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Expect().MinInService; got != 7 {
+		t.Fatalf("MinInService overridden: %d", got)
 	}
 }
 
@@ -228,12 +229,12 @@ func TestCustomAssertionSpec(t *testing.T) {
 	// A spec with only the completion capacity check: step7 evaluations
 	// disappear, step8 keeps exactly one binding.
 	custom := "on step8 assert asg-instance-count want={n}\n"
-	r := newRig(t, 2, func(c *Config) { c.AssertionSpec = custom })
+	r := newRig(t, 2, func(c *ManagerConfig) { c.AssertionSpec = custom })
 	model := process.RollingUpgradeModel()
-	if got := r.engine.Session().stepBindings("t", model.Node(process.NodeNewReady), logging.Event{}); len(got) != 0 {
+	if got := r.sess.stepBindings("t", model.Node(process.NodeNewReady), logging.Event{}); len(got) != 0 {
 		t.Errorf("step7 bindings = %d, want 0", len(got))
 	}
-	got := r.engine.Session().stepBindings("t", model.Node(process.NodeCompleted), logging.Event{})
+	got := r.sess.stepBindings("t", model.Node(process.NodeCompleted), logging.Event{})
 	if len(got) != 1 || got[0].checkID != "asg-instance-count" {
 		t.Fatalf("step8 bindings = %+v", got)
 	}
@@ -246,9 +247,8 @@ func TestInvalidAssertionSpecRejected(t *testing.T) {
 	bus := logging.NewBus()
 	defer bus.Close()
 	cloud := simaws.New(clock.NewScaled(100, time.Unix(0, 0)), simaws.FastProfile())
-	_, err := NewEngine(Config{
+	_, err := NewManager(ManagerConfig{
 		Cloud: cloud, Bus: bus,
-		Expect:        Expectation{ASGName: "g", ClusterSize: 2},
 		AssertionSpec: "on step1 assert no-such-check",
 	})
 	if err == nil {

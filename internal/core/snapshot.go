@@ -230,7 +230,7 @@ func (m *Manager) RestoreSession(snap *SessionSnapshot, opts ...WatchOption) (*S
 		// snapshot and the restore never reached this manager. Distrust
 		// the stream's completeness for a hold, and let degraded
 		// detections cite the handoff entry as their gap evidence.
-		hold := m.clk.Now().Add(m.cfg.DegradedHold)
+		hold := m.clk.Now().Add(degradedHold)
 		if hold.After(s.degradedUntil) {
 			s.degradedUntil = hold
 		}

@@ -20,7 +20,8 @@ type rig struct {
 	cloud   *simaws.Cloud
 	bus     *logging.Bus
 	cluster *upgrade.Cluster
-	engine  *Engine
+	mgr     *Manager
+	sess    *Session
 	up      *upgrade.Upgrader
 	newAMI  string
 	spec    upgrade.Spec
@@ -28,8 +29,9 @@ type rig struct {
 }
 
 // newRig deploys a size-n v1 cluster, registers a v2 AMI and builds (but
-// does not start) an engine watching the upcoming upgrade task.
-func newRig(t *testing.T, n int, mutate func(*Config)) *rig {
+// does not start) a manager whose one session adopts every process
+// instance, so it watches the upcoming upgrade task.
+func newRig(t *testing.T, n int, mutate func(*ManagerConfig)) *rig {
 	t.Helper()
 	clk := clock.NewScaled(1200, time.Date(2013, 11, 19, 11, 0, 0, 0, time.UTC))
 	bus := logging.NewBus()
@@ -58,7 +60,7 @@ func newRig(t *testing.T, n int, mutate func(*Config)) *rig {
 	spec.WaitTimeout = 5 * time.Minute
 	spec.PollInterval = 5 * time.Second
 
-	cfg := Config{
+	cfg := ManagerConfig{
 		Cloud: cloud,
 		Bus:   bus,
 		API: consistentapi.Config{
@@ -67,40 +69,43 @@ func newRig(t *testing.T, n int, mutate func(*Config)) *rig {
 			MaxBackoff:     4 * time.Second,
 			CallTimeout:    30 * time.Second,
 		},
-		Expect: Expectation{
-			ASGName:      cluster.ASGName,
-			ELBName:      cluster.ELBName,
-			NewImageID:   newAMI,
-			NewVersion:   "v2",
-			NewLCName:    spec.NewLCName,
-			KeyName:      cluster.KeyName,
-			SGName:       cluster.SGName,
-			InstanceType: "m1.small",
-			ClusterSize:  n,
-		},
 		PeriodicInterval: 45 * time.Second,
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	engine, err := NewEngine(cfg)
+	mgr, err := NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := mgr.Watch(Expectation{
+		ASGName:      cluster.ASGName,
+		ELBName:      cluster.ELBName,
+		NewImageID:   newAMI,
+		NewVersion:   "v2",
+		NewLCName:    spec.NewLCName,
+		KeyName:      cluster.KeyName,
+		SGName:       cluster.SGName,
+		InstanceType: "m1.small",
+		ClusterSize:  n,
+	}, MatchAnyInstance())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &rig{
-		cloud: cloud, bus: bus, cluster: cluster, engine: engine,
+		cloud: cloud, bus: bus, cluster: cluster, mgr: mgr, sess: sess,
 		up: upgrade.NewUpgrader(cloud, bus), newAMI: newAMI, spec: spec, ctx: ctx,
 	}
 }
 
-// runUpgrade executes the upgrade with the engine watching, then drains
+// runUpgrade executes the upgrade with the manager watching, then drains
 // outstanding work.
 func (r *rig) runUpgrade(t *testing.T) *upgrade.Report {
 	t.Helper()
-	r.engine.Start()
+	r.mgr.Start()
 	rep := r.up.Run(r.ctx, r.spec)
-	r.engine.Drain(r.ctx, 2*time.Minute)
-	r.engine.Stop()
+	r.mgr.Drain(r.ctx, 2*time.Minute)
+	r.mgr.Stop()
 	return rep
 }
 
@@ -119,7 +124,7 @@ func TestCleanUpgradeNoDetections(t *testing.T) {
 	if rep.Err != nil {
 		t.Fatalf("upgrade failed: %v", rep.Err)
 	}
-	dets := r.engine.Detections()
+	dets := r.sess.Detections()
 	for _, d := range dets {
 		// Tolerate only timer-based transients that diagnosed to "no
 		// root cause" (the paper's FP class); anything else is a bug.
@@ -127,7 +132,7 @@ func TestCleanUpgradeNoDetections(t *testing.T) {
 			t.Errorf("unexpected detection on clean run: %+v", d)
 		}
 	}
-	if !r.engine.Checker().Completed("pushing pm--asg") {
+	if !r.sess.Checker().Completed("pushing pm--asg") {
 		t.Error("conformance did not see completion")
 	}
 }
@@ -152,7 +157,7 @@ func TestDetectsAndDiagnosesAMIChangedDuringUpgrade(t *testing.T) {
 		_ = r.cloud.UpdateAutoScalingGroup(r.ctx, r.cluster.ASGName, "rogue-lc", -1, -1, -1)
 	}()
 	r.runUpgrade(t)
-	dets := r.engine.Detections()
+	dets := r.sess.Detections()
 	if len(dets) == 0 {
 		t.Fatal("no detections for mixed-version fault")
 	}
@@ -182,7 +187,7 @@ func TestDetectsAMIUnavailableDuringUpgrade(t *testing.T) {
 	if rep.Err == nil {
 		t.Fatal("upgrade succeeded with unavailable AMI")
 	}
-	dets := r.engine.Detections()
+	dets := r.sess.Detections()
 	if len(dets) == 0 {
 		t.Fatal("no detections")
 	}
@@ -214,7 +219,7 @@ func TestDetectsELBUnavailableViaConformance(t *testing.T) {
 	}()
 	rep := r.runUpgrade(t)
 	_ = rep
-	dets := r.engine.Detections()
+	dets := r.sess.Detections()
 	if len(dets) == 0 {
 		t.Fatal("no detections during ELB disruption")
 	}
@@ -244,7 +249,7 @@ func TestScaleInInterferenceDetected(t *testing.T) {
 		_ = r.cloud.SetDesiredCapacity(r.ctx, r.cluster.ASGName, 2)
 	}()
 	r.runUpgrade(t)
-	dets := r.engine.Detections()
+	dets := r.sess.Detections()
 	if !hasCause(dets, "simultaneous-scale-in") {
 		for _, d := range dets {
 			if d.Diagnosis != nil {
@@ -256,49 +261,49 @@ func TestScaleInInterferenceDetected(t *testing.T) {
 }
 
 func TestConformanceDisabledAblation(t *testing.T) {
-	r := newRig(t, 2, func(c *Config) { c.DisableConformance = true })
+	r := newRig(t, 2, func(c *ManagerConfig) { c.DisableConformance = true })
 	r.runUpgrade(t)
-	for _, d := range r.engine.Detections() {
+	for _, d := range r.sess.Detections() {
 		if d.Source == diagnosis.SourceConformance {
 			t.Fatalf("conformance detection with conformance disabled: %+v", d)
 		}
 	}
-	if len(r.engine.Checker().InstanceIDs()) != 0 {
+	if len(r.sess.Checker().InstanceIDs()) != 0 {
 		t.Error("checker saw instances despite being disabled")
 	}
 }
 
 func TestAssertionsDisabledAblation(t *testing.T) {
-	r := newRig(t, 2, func(c *Config) { c.DisableAssertions = true })
+	r := newRig(t, 2, func(c *ManagerConfig) { c.DisableAssertions = true })
 	r.runUpgrade(t)
-	if len(r.engine.Evaluator().History()) != 0 {
+	if len(r.mgr.Evaluator().History()) != 0 {
 		t.Fatal("assertions evaluated despite being disabled")
 	}
 }
 
 func TestEngineValidatesConfig(t *testing.T) {
-	if _, err := NewEngine(Config{}); err == nil {
+	if _, err := NewManager(ManagerConfig{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 	bus := logging.NewBus()
 	defer bus.Close()
 	clk := clock.NewScaled(100, time.Unix(0, 0))
 	cloud := simaws.New(clk, simaws.FastProfile())
-	if _, err := NewEngine(Config{Cloud: cloud, Bus: bus}); err == nil {
-		t.Fatal("missing expectation accepted")
-	}
-	eng, err := NewEngine(Config{
-		Cloud:  cloud,
-		Bus:    bus,
-		Expect: Expectation{ASGName: "g", ClusterSize: 4},
-	})
+	mgr, err := NewManager(ManagerConfig{Cloud: cloud, Bus: bus})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.cfg.Expect.MinInService != 3 {
-		t.Errorf("MinInService default = %d", eng.cfg.Expect.MinInService)
+	if _, err := mgr.Watch(Expectation{}, MatchAnyInstance()); err == nil {
+		t.Fatal("missing expectation accepted")
 	}
-	if eng.cfg.PeriodicInterval <= 0 || eng.cfg.StepTimeoutSlack <= 0 {
+	sess, err := mgr.Watch(Expectation{ASGName: "g", ClusterSize: 4}, MatchAnyInstance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Expect().MinInService; got != 3 {
+		t.Errorf("MinInService default = %d", got)
+	}
+	if sess.periodicInterval <= 0 || sess.stepSlack <= 0 {
 		t.Error("defaults not applied")
 	}
 }
@@ -306,7 +311,7 @@ func TestEngineValidatesConfig(t *testing.T) {
 func TestCentralStoreMergesAllSources(t *testing.T) {
 	r := newRig(t, 2, nil)
 	r.runUpgrade(t)
-	store := r.engine.Store()
+	store := r.mgr.Store()
 	types := map[string]bool{}
 	for _, e := range store.All() {
 		types[e.Type] = true

@@ -265,8 +265,7 @@ type Engine struct {
 }
 
 // NewEngine returns an Engine over the given diagnosis plan catalog and
-// evaluator. Legacy fault trees reach here compiled into plans (see
-// faulttree.Tree.Compile); the engine itself only walks plans.
+// evaluator.
 func NewEngine(cat *diagplan.Catalog, eval *assertion.Evaluator, bus *logging.Bus, opts Options) *Engine {
 	if opts.MaxTests <= 0 {
 		opts.MaxTests = 64
@@ -796,9 +795,8 @@ func hasCause(list []Cause, c Cause) bool {
 // run's test budget — shared-cache hits and coalesced joins are free.
 //
 // The cache key derives from the canonicalized check id and parameters
-// only, never from the plan or node the test was reached through: a tree-
-// compiled plan and a native DAG plan running the same check share cache
-// entries.
+// only, never from the plan or node the test was reached through: two
+// plans running the same check share cache entries.
 func (e *Engine) test(ctx context.Context, r *run, n *diagplan.Node) (assertion.Result, bool) {
 	params := r.req.Params.Merge(n.CheckParams)
 	key := cacheKey(n.CheckID, params)

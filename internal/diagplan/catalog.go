@@ -7,9 +7,9 @@ import (
 	"poddiagnosis/internal/assertion"
 )
 
-// Catalog holds diagnosis plans, keyed by plan id and by assertion id —
-// the plan-shaped successor of the fault-tree Repository. Several plans
-// may serve one assertion; the diagnosis engine consults them all.
+// Catalog holds diagnosis plans, keyed by plan id and by assertion id.
+// Several plans may serve one assertion; the diagnosis engine consults
+// them all.
 type Catalog struct {
 	byID        map[string]*Plan
 	byAssertion map[string][]*Plan

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"poddiagnosis/internal/assertion"
 )
@@ -67,6 +68,8 @@ func TestValidateRejectsBadShapes(t *testing.T) {
 		{"duplicate edge", func(p *Plan) {
 			p.Node("a").Edges = append(p.Node("a").Edges, Edge{To: "cause-x", Prob: 0.1})
 		}, "duplicate"},
+		{"duplicate node id", func(p *Plan) { p.Node("cause-y").ID = "cause-x" }, "duplicate"},
+		{"empty node id", func(p *Plan) { p.Node("cause-y").ID = "" }, "empty id"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -155,6 +158,10 @@ func TestInstantiate(t *testing.T) {
 	if p.Node("cause-x").Description != "cause x on {asgid}" {
 		t.Fatal("Instantiate mutated the original")
 	}
+	// Placeholders without a parameter are left intact.
+	if got := p.Instantiate(assertion.Params{"other": "x"}).Node("cause-x").Description; got != "cause x on {asgid}" {
+		t.Fatalf("unknown placeholder description = %q", got)
+	}
 }
 
 func TestChildrenOrderedByProbability(t *testing.T) {
@@ -163,13 +170,68 @@ func TestChildrenOrderedByProbability(t *testing.T) {
 	if len(kids) != 2 || kids[0].ID != "a" || kids[1].ID != "b" {
 		t.Fatalf("Children(entry) order wrong: %+v", kids)
 	}
+	// Ties keep document order, and the node's own edges are untouched.
+	n := &Node{ID: "n", Edges: []Edge{{To: "a", Prob: 0.2}, {To: "b", Prob: 0.5}, {To: "c", Prob: 0.2}, {To: "d", Prob: 0.9}}}
+	tie := &Plan{ID: "tie", Entry: "n", Nodes: []*Node{n, {ID: "a"}, {ID: "b"}, {ID: "c"}, {ID: "d"}}}
+	var got []string
+	for _, c := range tie.Children(n) {
+		got = append(got, c.ID)
+	}
+	if strings.Join(got, ",") != "d,b,a,c" {
+		t.Fatalf("tie order = %v, want [d b a c]", got)
+	}
+	if n.Edges[0].To != "a" {
+		t.Fatal("Children reordered the node's edges")
+	}
 }
 
-// Satellite 3: shipped plan documents round-trip byte-stable through
+func TestCloneIsDeep(t *testing.T) {
+	p := fanInPlan(t)
+	p.Node("a").CheckParams = assertion.Params{"k": "v"}
+	cp := p.Clone()
+	cp.Node("a").CheckParams["k"] = "changed"
+	cp.Node("a").Steps[0] = "changed"
+	cp.Node("a").Edges[0].To = "changed"
+	a := p.Node("a")
+	if a.CheckParams["k"] != "v" || a.Steps[0] != "step1" || a.Edges[0].To != "cause-x" {
+		t.Fatal("Clone aliases state")
+	}
+}
+
+func TestRelevantToProperty(t *testing.T) {
+	// Property: a node is always relevant to the empty step; an unscoped
+	// node is relevant to any step; a scoped node is relevant exactly to
+	// its steps.
+	f := func(steps []string, probe string) bool {
+		n := &Node{ID: "x", Steps: steps}
+		if !n.RelevantTo("") {
+			return false
+		}
+		if probe == "" || len(steps) == 0 {
+			return n.RelevantTo(probe)
+		}
+		want := false
+		for _, s := range steps {
+			if s == probe {
+				want = true
+			}
+		}
+		return n.RelevantTo(probe) == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every shipped plan document round-trips byte-stable through
 // load -> validate -> render -> reload.
 func TestGoldenRoundTrip(t *testing.T) {
 	reg := assertion.DefaultRegistry()
-	for name, data := range ScenarioPlanSources() {
+	sources := PlanSources()
+	if len(sources) != 14 {
+		t.Fatalf("embedded plan documents = %d, want 4 scenario + 10 rolling-upgrade", len(sources))
+	}
+	for name, data := range sources {
 		t.Run(name, func(t *testing.T) {
 			p, err := Parse(data)
 			if err != nil {

@@ -5,7 +5,7 @@ import "testing"
 // Satellite 3: malformed, truncated, or cyclic plan documents must never
 // panic the loader — Parse either returns a valid plan or an error.
 func FuzzParse(f *testing.F) {
-	for _, src := range ScenarioPlanSources() {
+	for _, src := range PlanSources() {
 		f.Add(src)
 	}
 	f.Add([]byte(`{}`))

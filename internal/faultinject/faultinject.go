@@ -197,8 +197,11 @@ func (inj *Injector) flipLaunchConfig(ctx context.Context, dim string) error {
 	if err != nil {
 		return fmt.Errorf("faultinject: %w", err)
 	}
+	// Rogue names carry a full 63-bit draw: many injectors share one
+	// account, and a name collision would fail the flip with
+	// AlreadyExists, silently leaving the fault uninjected.
 	rogue := cur
-	rogue.Name = fmt.Sprintf("rogue-%s-%04x", dim, inj.rng.Intn(1<<16))
+	rogue.Name = fmt.Sprintf("rogue-%s-%016x", dim, inj.rng.Int63())
 	switch dim {
 	case "ami":
 		ami, err := inj.cloud.RegisterImage(ctx, "rogue-release", fmt.Sprintf("v%d", 90+inj.rng.Intn(9)), upgrade.AppServices)
@@ -207,13 +210,13 @@ func (inj *Injector) flipLaunchConfig(ctx context.Context, dim string) error {
 		}
 		rogue.ImageID = ami
 	case "key":
-		key := fmt.Sprintf("rogue-key-%04x", inj.rng.Intn(1<<16))
+		key := fmt.Sprintf("rogue-key-%016x", inj.rng.Int63())
 		if err := inj.cloud.ImportKeyPair(ctx, key); err != nil {
 			return fmt.Errorf("faultinject: %w", err)
 		}
 		rogue.KeyName = key
 	case "sg":
-		sg := fmt.Sprintf("rogue-sg-%04x", inj.rng.Intn(1<<16))
+		sg := fmt.Sprintf("rogue-sg-%016x", inj.rng.Int63())
 		if _, err := inj.cloud.CreateSecurityGroup(ctx, sg, []int{22}); err != nil {
 			return fmt.Errorf("faultinject: %w", err)
 		}

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -247,5 +248,40 @@ func TestInjectUnknownKind(t *testing.T) {
 	}
 	if err := e.inj.Interfere(e.ctx, Interference(99), 0); err == nil {
 		t.Fatal("unknown interference accepted")
+	}
+}
+
+// Two injectors flipping the same dimension in one shared account must
+// draw distinct rogue names even when the 16-bit suffixes of their first
+// draws collide; a collision fails the flip with AlreadyExists and leaves
+// the fault uninjected.
+func TestRogueNamesDistinctInSharedAccount(t *testing.T) {
+	first := make(map[int]int64)
+	var seedA, seedB int64
+	for seed := int64(1); seedB == 0; seed++ {
+		v := rand.New(rand.NewSource(seed)).Intn(1 << 16)
+		if prev, ok := first[v]; ok {
+			seedA, seedB = prev, seed
+		}
+		first[v] = seed
+	}
+	e := newInjEnv(t, 1)
+	other, err := upgrade.Deploy(e.ctx, e.cloud, "qm", 1, "v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool)
+	for _, inj := range []*Injector{NewInjector(e.cloud, e.cluster, seedA), NewInjector(e.cloud, other, seedB)} {
+		if err := inj.Inject(e.ctx, KindSGChanged, 0, "", ""); err != nil {
+			t.Fatalf("seeds %d/%d: %v", seedA, seedB, err)
+		}
+		asg, err := e.cloud.DescribeAutoScalingGroup(e.ctx, inj.cluster.ASGName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names[asg.LaunchConfigName] = true
+	}
+	if len(names) != 2 {
+		t.Fatalf("rogue launch configurations collide: %v", names)
 	}
 }

@@ -232,10 +232,11 @@ func TestLintPlanDocRejectsGarbage(t *testing.T) {
 	}
 }
 
-// The embedded scenario plan documents must lint clean through the raw-doc
-// path podlint uses for examples/ (registry-independent rules only).
+// Every embedded plan document — scenario and rolling-upgrade — must lint
+// clean through the raw-doc path podlint uses for examples/
+// (registry-independent rules only).
 func TestScenarioPlanDocsLintClean(t *testing.T) {
-	for name, data := range diagplan.ScenarioPlanSources() {
+	for name, data := range diagplan.PlanSources() {
 		if fs := LintPlanDoc(name, data); len(fs) != 0 {
 			t.Errorf("plan doc %s: unexpected findings:\n%s", name, render(fs))
 		}
@@ -271,7 +272,7 @@ func TestLintBundlesSeedsEveryXCRule(t *testing.T) {
 }
 
 // TestBuiltinsLintClean is the shipped-artifact regression gate: the
-// built-in models, specifications and the full fault-tree catalog must
+// built-in models, specifications and the full diagnosis-plan catalog must
 // produce zero error-severity findings. Warnings are tolerated but pinned,
 // so a new coverage gap shows up as a diff here.
 func TestBuiltinsLintClean(t *testing.T) {
@@ -528,7 +529,7 @@ func TestLintRemediationApproveModeNotDangling(t *testing.T) {
 
 // TestBuiltinRemediationClean pins the acceptance criterion: the shipped
 // action catalog resolves cleanly against the full diagnosis-plan catalog
-// — every auto-capable binding lands on a real cause and every compiled
+// — every auto-capable binding lands on a real cause and every
 // rolling-upgrade cause is either actionable or explicitly manual.
 func TestBuiltinRemediationClean(t *testing.T) {
 	if fs := BuiltinRemediation(); len(fs) != 0 {

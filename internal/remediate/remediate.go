@@ -207,7 +207,7 @@ func (c *Catalog) ManualReason(nodeID string) (string, bool) {
 
 // BindingsFor resolves the actions bound to a concrete cause node id, in
 // declaration order. Matching is prefix-aware: the catalog binds base
-// ids, compiled plans suffix shared-subtree causes.
+// ids, the rolling-upgrade plans suffix shared-subtree causes.
 func (c *Catalog) BindingsFor(nodeID string) []Binding {
 	var out []Binding
 	for _, a := range c.actions {

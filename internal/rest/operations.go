@@ -24,8 +24,8 @@ type OperationRequest struct {
 	// MatchASG adopts unknown process instances that reference the
 	// expectation's ASG.
 	MatchASG bool `json:"matchAsg,omitempty"`
-	// MatchAny adopts every unclaimed process instance (single-operation
-	// compatibility mode).
+	// MatchAny adopts every unclaimed process instance (a deployment
+	// watching a single operation).
 	MatchAny bool `json:"matchAny,omitempty"`
 	// AssertionSpec overrides the manager's default assertion
 	// specification for this session.

@@ -80,7 +80,7 @@ type ReadyStatus struct {
 type Option func(*Server)
 
 // WithReady installs the readiness probe backing GET /readyz; typically a
-// closure over core.Engine.QueueDepth. Without it /readyz always reports
+// closure over core.Manager.QueueDepth. Without it /readyz always reports
 // ready with depth 0.
 func WithReady(fn func() ReadyStatus) Option {
 	return func(s *Server) { s.ready = fn }

@@ -14,7 +14,7 @@ import (
 	"poddiagnosis/internal/conformance"
 	"poddiagnosis/internal/consistentapi"
 	"poddiagnosis/internal/diagnosis"
-	"poddiagnosis/internal/faulttree"
+	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/process"
 	"poddiagnosis/internal/simaws"
 	"poddiagnosis/internal/upgrade"
@@ -53,7 +53,7 @@ func newRESTEnv(t *testing.T) *restEnv {
 	})
 	eval := assertion.NewEvaluator(client, assertion.DefaultRegistry(), nil)
 	checker := conformance.NewChecker(process.RollingUpgradeModel())
-	diag := diagnosis.NewEngine(faulttree.FullCatalog(), eval, nil, diagnosis.Options{})
+	diag := diagnosis.NewEngine(diagplan.FullCatalog(), eval, nil, diagnosis.Options{})
 	srv := httptest.NewServer(NewServer(checker, eval, diag))
 	t.Cleanup(srv.Close)
 	return &restEnv{
@@ -266,7 +266,7 @@ func TestDiagnosisPlanEndpoints(t *testing.T) {
 		t.Fatalf("plan-bluegreen summary = %+v", bg)
 	}
 	if _, ok := byID["ft-version-count"]; !ok {
-		t.Fatal("compiled tree plans missing from listing")
+		t.Fatal("rolling-upgrade plans missing from listing")
 	}
 
 	p, err := e.client.Plan(e.ctx, "plan-bluegreen")

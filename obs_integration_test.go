@@ -48,25 +48,25 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	spec := cluster.UpgradeSpec("pushing pm--asg", newAMI)
 	spec.NewLCName = cluster.ASGName + "-lc-" + newAMI
 
-	mon, err := NewMonitor(Config{
-		Cloud: cloud,
-		Bus:   bus,
-		Expect: Expectation{
-			ASGName:      cluster.ASGName,
-			ELBName:      cluster.ELBName,
-			NewImageID:   newAMI,
-			NewVersion:   "v2",
-			NewLCName:    spec.NewLCName,
-			KeyName:      cluster.KeyName,
-			SGName:       cluster.SGName,
-			InstanceType: "m1.small",
-			ClusterSize:  2,
-		},
-	})
+	mgr, err := NewManager(ManagerConfig{Cloud: cloud, Bus: bus})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon.Start()
+	sess, err := mgr.Watch(Expectation{
+		ASGName:      cluster.ASGName,
+		ELBName:      cluster.ELBName,
+		NewImageID:   newAMI,
+		NewVersion:   "v2",
+		NewLCName:    spec.NewLCName,
+		KeyName:      cluster.KeyName,
+		SGName:       cluster.SGName,
+		InstanceType: "m1.small",
+		ClusterSize:  2,
+	}, MatchAnyInstance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Start()
 
 	// Fault 2 (key pair changed mid-upgrade): a concurrent team flips the
 	// launch configuration once the upgrade creates its own LC, so the
@@ -81,11 +81,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	rep := NewUpgrader(cloud, bus).Run(ctx, spec)
 	<-injectDone
-	mon.Drain(ctx, 2*time.Minute)
-	mon.Stop()
+	mgr.Drain(ctx, 2*time.Minute)
+	mgr.Stop()
 	_ = rep // the upgrade may fail or limp home mixed-version; either is fine
 
-	detections := mon.Detections()
+	detections := sess.Detections()
 	if len(detections) == 0 {
 		t.Fatal("faulty upgrade produced no detections")
 	}
@@ -100,10 +100,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Serve the observability surface the way podserve does and scrape it.
-	srv := httptest.NewServer(rest.NewServer(mon.Checker(), mon.Evaluator(), mon.Diagnoser(),
+	srv := httptest.NewServer(rest.NewServer(sess.Checker(), mgr.Evaluator(), mgr.Diagnoser(),
 		rest.WithReady(func() rest.ReadyStatus {
-			q := mon.QueueDepth()
-			return rest.ReadyStatus{Ready: true, QueueDepth: q.Depth()}
+			return rest.ReadyStatus{Ready: true, QueueDepth: mgr.QueueDepth().Depth()}
 		})))
 	defer srv.Close()
 

@@ -11,9 +11,10 @@
 //     model detects unknown, erroneous and out-of-order events;
 //   - assertion evaluation: pre-defined checks of cloud-resource state run
 //     after each step, on one-off and periodic timers, and on demand;
-//   - error diagnosis: fault trees — one per assertion — are instantiated
-//     with the runtime request, pruned by process context, and visited
-//     top-down, running diagnosis tests to confirm or exclude root causes.
+//   - error diagnosis: diagnosis plans — the paper's fault trees, one per
+//     assertion, shipped as JSON documents — are instantiated with the
+//     runtime request, pruned by process context, and visited top-down,
+//     running diagnosis tests to confirm or exclude root causes.
 //
 // The library ships a complete simulated AWS substrate (EC2, ASG, ELB,
 // launch configurations, eventual consistency, throttling), an
@@ -29,13 +30,12 @@
 //	cloud.Start()
 //	defer cloud.Stop()
 //	// ... deploy a cluster, then:
-//	mon, err := poddiagnosis.NewMonitor(poddiagnosis.Config{
-//	    Cloud: cloud, Bus: bus,
-//	    Expect: poddiagnosis.Expectation{ASGName: "pm--asg", ClusterSize: 4, ...},
-//	})
-//	mon.Start()
-//	defer mon.Stop()
-//	// run the upgrade; then inspect mon.Detections().
+//	mgr, err := poddiagnosis.NewManager(poddiagnosis.ManagerConfig{Cloud: cloud, Bus: bus})
+//	sess, err := mgr.Watch(poddiagnosis.Expectation{ASGName: "pm--asg", ClusterSize: 4, ...},
+//	    poddiagnosis.MatchAnyInstance())
+//	mgr.Start()
+//	defer mgr.Stop()
+//	// run the upgrade; then inspect sess.Detections().
 package poddiagnosis
 
 import (
@@ -46,7 +46,6 @@ import (
 	"poddiagnosis/internal/diagnosis"
 	"poddiagnosis/internal/diagplan"
 	"poddiagnosis/internal/faultinject"
-	"poddiagnosis/internal/faulttree"
 	"poddiagnosis/internal/logging"
 	"poddiagnosis/internal/mining"
 	"poddiagnosis/internal/offline"
@@ -58,22 +57,13 @@ import (
 // Version identifies the library release.
 const Version = "1.0.0"
 
-// Core engine types.
+// Monitoring types: one Manager watches one or many concurrent
+// operations, each through its own Session.
 type (
-	// Monitor is a running POD-Diagnosis deployment watching one
-	// operation (a Manager with a single Session).
-	Monitor = core.Engine
-	// Config assembles a Monitor.
-	Config = core.Config
 	// Expectation declares the operation's desired end state.
 	Expectation = core.Expectation
 	// Detection is one detected anomaly with its diagnosis.
 	Detection = core.Detection
-)
-
-// Multi-tenant monitoring types: one Manager watches many concurrent
-// operations, each through its own Session.
-type (
 	// Manager owns the shared monitoring substrate — bus subscriptions,
 	// log storage, the consistent API client, assertion evaluator,
 	// diagnosis engine and worker pool — and routes annotated events to
@@ -144,8 +134,6 @@ type (
 	AssertionRegistry = assertion.Registry
 	// AssertionParams parameterize evaluations.
 	AssertionParams = assertion.Params
-	// FaultTreeRepository is the root-cause knowledge base.
-	FaultTreeRepository = faulttree.Repository
 	// Diagnosis is the result of one root-cause analysis.
 	Diagnosis = diagnosis.Diagnosis
 	// Cluster records a deployed application's cloud resources.
@@ -155,10 +143,6 @@ type (
 	// Upgrader performs rolling upgrades (the watched operation).
 	Upgrader = upgrade.Upgrader
 )
-
-// NewMonitor validates the config and builds a Monitor. Call Start to
-// begin processing and Stop to shut down.
-func NewMonitor(cfg Config) (*Monitor, error) { return core.NewEngine(cfg) }
 
 // NewLogBus returns an empty log bus.
 func NewLogBus() *LogBus { return logging.NewBus() }
@@ -234,7 +218,8 @@ const SpotRebalanceAssertionSpecText = process.SpotRebalanceSpecText
 // Upgrader.RunSpotRebalance.
 type SpotRebalanceSpec = upgrade.SpotRebalanceSpec
 
-// Declarative diagnosis plans (the DAG generalization of fault trees).
+// Declarative diagnosis plans (the DAG generalization of the paper's fault
+// trees).
 type (
 	// DiagnosisPlan is one declarative diagnosis DAG, selected by
 	// assertion id and pruned by process-step context before walking.
@@ -244,21 +229,17 @@ type (
 	DiagnosisPlanCatalog = diagplan.Catalog
 )
 
-// DefaultDiagnosisPlans returns the rolling-upgrade plan catalog: the
-// fault-tree knowledge base of DefaultFaultTrees compiled to DAG plans.
-func DefaultDiagnosisPlans() *DiagnosisPlanCatalog { return faulttree.DefaultCatalog() }
+// DefaultDiagnosisPlans returns the rolling-upgrade plan catalog — the
+// paper's Figure 5 knowledge base, one plan per assertion.
+func DefaultDiagnosisPlans() *DiagnosisPlanCatalog { return diagplan.DefaultCatalog() }
 
-// FullDiagnosisPlans returns the complete shipped catalog: the compiled
-// fault trees plus the declarative scenario plans (blue/green deploy,
+// FullDiagnosisPlans returns the complete shipped catalog: the
+// rolling-upgrade plans plus the scenario plans (blue/green deploy,
 // spot-interruption storms).
-func FullDiagnosisPlans() *DiagnosisPlanCatalog { return faulttree.FullCatalog() }
+func FullDiagnosisPlans() *DiagnosisPlanCatalog { return diagplan.FullCatalog() }
 
 // DefaultAssertions returns the pre-defined assertion library.
 func DefaultAssertions() *AssertionRegistry { return assertion.DefaultRegistry() }
-
-// DefaultFaultTrees returns the fault-tree knowledge base for the rolling
-// upgrade operation (paper Figure 5).
-func DefaultFaultTrees() *FaultTreeRepository { return faulttree.DefaultRepository() }
 
 // Deploy provisions a complete application cluster (AMI, key pair,
 // security group, launch configuration, ELB, ASG) on the simulated cloud.
