@@ -87,6 +87,11 @@ func TestSnapshotCoversSessionFields(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	r := newMultiRig(t, func(c *ManagerConfig) { c.FlightCapacity = 2048 })
 	alpha := r.addOp(t, "alpha", 2)
+	// Each batch waits one poll for its replacement, so with a 30 s poll
+	// the two-instance upgrade runs for about a minute of simulated time
+	// and the flip injected after 10 s lands mid-upgrade. With the rig's
+	// 5 s poll the upgrade ended at about 10 s and the flip could miss it.
+	alpha.spec.PollInterval = 30 * time.Second
 	inj := faultinject.NewInjector(r.cloud, alpha.cluster, 7)
 	defer inj.Heal()
 	done := make(chan struct{})

@@ -68,8 +68,6 @@ func TestValidateRejectsBadShapes(t *testing.T) {
 		{"duplicate edge", func(p *Plan) {
 			p.Node("a").Edges = append(p.Node("a").Edges, Edge{To: "cause-x", Prob: 0.1})
 		}, "duplicate"},
-		{"duplicate node id", func(p *Plan) { p.Node("cause-y").ID = "cause-x" }, "duplicate"},
-		{"empty node id", func(p *Plan) { p.Node("cause-y").ID = "" }, "empty id"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,6 +78,32 @@ func TestValidateRejectsBadShapes(t *testing.T) {
 				t.Fatalf("want error mentioning %q, got %v", tc.want, err)
 			}
 		})
+	}
+}
+
+// TestValidateRejectsBadTrees covers the node-level faults of a
+// hand-written fault tree: no nodes, empty or duplicate ids, a root
+// cause with children and an unknown check.
+func TestValidateRejectsBadTrees(t *testing.T) {
+	reg := assertion.DefaultRegistry()
+	cases := []struct {
+		name string
+		mut  func(p *Plan)
+	}{
+		{"no nodes", func(p *Plan) { p.Nodes = nil }},
+		{"empty node id", func(p *Plan) { p.Node("cause-y").ID = "" }},
+		{"duplicate node id", func(p *Plan) { p.Node("cause-y").ID = "cause-x" }},
+		{"root cause with children", func(p *Plan) {
+			p.Node("cause-x").Edges = []Edge{{To: "cause-y", Prob: 0.5}}
+		}},
+		{"unknown check", func(p *Plan) { p.Node("cause-y").CheckID = "no-such-check" }},
+	}
+	for _, tc := range cases {
+		p := fanInPlan(t)
+		tc.mut(p)
+		if err := p.Validate(reg); err == nil {
+			t.Errorf("%s: Validate passed", tc.name)
+		}
 	}
 }
 
@@ -158,7 +182,10 @@ func TestInstantiate(t *testing.T) {
 	if p.Node("cause-x").Description != "cause x on {asgid}" {
 		t.Fatal("Instantiate mutated the original")
 	}
-	// Placeholders without a parameter are left intact.
+}
+
+func TestInstantiateLeavesUnknownPlaceholders(t *testing.T) {
+	p := fanInPlan(t)
 	if got := p.Instantiate(assertion.Params{"other": "x"}).Node("cause-x").Description; got != "cause x on {asgid}" {
 		t.Fatalf("unknown placeholder description = %q", got)
 	}
@@ -170,6 +197,9 @@ func TestChildrenOrderedByProbability(t *testing.T) {
 	if len(kids) != 2 || kids[0].ID != "a" || kids[1].ID != "b" {
 		t.Fatalf("Children(entry) order wrong: %+v", kids)
 	}
+}
+
+func TestSortedChildrenStable(t *testing.T) {
 	// Ties keep document order, and the node's own edges are untouched.
 	n := &Node{ID: "n", Edges: []Edge{{To: "a", Prob: 0.2}, {To: "b", Prob: 0.5}, {To: "c", Prob: 0.2}, {To: "d", Prob: 0.9}}}
 	tie := &Plan{ID: "tie", Entry: "n", Nodes: []*Node{n, {ID: "a"}, {ID: "b"}, {ID: "c"}, {ID: "d"}}}

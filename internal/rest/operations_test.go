@@ -78,7 +78,12 @@ func TestOperationsRoundTrip(t *testing.T) {
 	spec := cluster.UpgradeSpec(taskID, newAMI)
 	spec.NewLCName = cluster.ASGName + "-lc-" + newAMI
 	spec.WaitTimeout = 5 * time.Minute
-	spec.PollInterval = 5 * time.Second
+	// Each batch waits one poll for its replacement, so the two-instance
+	// upgrade stays in flight for about a minute of simulated time: the
+	// fault injected after 10 s lands mid-upgrade even when the injecting
+	// goroutine is scheduled late. With a 5 s poll the upgrade ended at
+	// about 10 s and the flip often landed after it.
+	spec.PollInterval = 30 * time.Second
 
 	// Register the monitoring session over the wire.
 	sum, err := e.client.CreateOperation(e.ctx, OperationRequest{
